@@ -263,8 +263,8 @@ func BenchmarkIndirectGather(b *testing.B) {
 
 // BenchmarkSweepSerial runs the full evaluation sweep (960 points) on
 // the single-threaded engine. Compare with BenchmarkSweepParallel for
-// the worker-pool speedup on multi-core machines (this is the pair the
-// parallel engine exists for; on one core they coincide).
+// the worker-pool speedup on multi-core machines (on one core they
+// coincide).
 func BenchmarkSweepSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -379,57 +379,6 @@ func BenchmarkGather(b *testing.B) {
 		cycles = res.Cycles
 	}
 	b.ReportMetric(float64(cycles), "cycles")
-}
-
-// BenchmarkParallelTickLoop measures the per-channel parallel engine
-// against the serial engine on the same four-channel configuration, one
-// reused System per sub-benchmark so the steady-state path (and its
-// zero-allocation guarantee) is what's timed. Results are bit-identical
-// between the two; only wall-clock differs.
-func BenchmarkParallelTickLoop(b *testing.B) {
-	k, err := KernelByName("vaxpy")
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := k.Build(PaperParams(19, 1))
-	for _, parallel := range []bool{false, true} {
-		name := map[bool]string{false: "serial", true: "parallel"}[parallel]
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := DefaultConfig()
-			cfg.Channels = 4
-			cfg.ParallelChannels = parallel
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sys.Run(trace); err != nil { // warm the pools
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Run(trace); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSweepWarmStart is the full 960-point single-worker sweep on
-// the warm-start path: each cell Restores a cached System to its
-// post-construction checkpoint (an O(1) copy-on-write pointer swap)
-// instead of rebuilding the hardware. Compare against the historical
-// BenchmarkSweepSerial trajectory for the construction overhead this
-// removes; allocs/op is the sweep's total footprint and is what the
-// benchstat gate tracks.
-func BenchmarkSweepWarmStart(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SweepWithOptions(nil, nil, nil, SweepOptions{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAutotuneSearch is the decoder-search ladder on one small

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"pva/internal/pvaunit"
 )
 
 // seedPoint mirrors one row of testdata/seed_cycles.json: the cycle
@@ -190,5 +192,75 @@ func TestUnknownAddrMapRejected(t *testing.T) {
 	}
 	if _, err := SweepWithOptions([]string{"copy"}, []uint32{1}, nil, SweepOptions{Channels: 2, AddrMap: "sudoku"}); err == nil {
 		t.Fatal("Sweep accepted unknown addrmap")
+	}
+}
+
+// TestMultiChannelTxnDeadlock pins the shared transaction-ID pool
+// against a circular wait. On this trace a two-channel xor system once
+// filled all eight IDs with younger commands that had issued through
+// channel 0 while an older write, with elements on channel 1 only,
+// waited for an ID; channel 1's scheduler stopped at that write and
+// never reserved the younger commands' channel-1 tenures, so nothing
+// could retire. Batch Run and a streaming Session must both complete
+// and match the reference.
+func TestMultiChannelTxnDeadlock(t *testing.T) {
+	cmds := []struct {
+		op                   Op
+		base, stride, length uint32
+	}{
+		{Read, 11283, 2, 16}, {Read, 11951, 16, 22}, {Write, 13627, 32, 10},
+		{Read, 9943, 16, 28}, {Read, 6243, 2, 23}, {Write, 4519, 3, 29},
+		{Write, 5893, 1, 28}, {Write, 4749, 19, 9}, {Read, 733, 19, 18},
+		{Read, 265, 3, 29}, {Read, 14964, 33, 9}, {Write, 8435, 19, 31},
+		{Write, 10211, 3, 25},
+	}
+	var tr Trace
+	for _, c := range cmds {
+		cmd := VectorCmd{Op: c.op, V: Vector{Base: c.base, Stride: c.stride, Length: c.length}}
+		if c.op == Write {
+			cmd.Data = make([]uint32, c.length)
+			for k := range cmd.Data {
+				cmd.Data[k] = c.base + uint32(k)
+			}
+		}
+		tr.Cmds = append(tr.Cmds, cmd)
+	}
+	cfg := DefaultConfig()
+	cfg.Channels = 2
+	cfg.AddrMap = "xor"
+	cfg.WatchdogCycles = 20000
+	newSys := func() *pvaunit.System {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.(*pvaunit.System)
+	}
+	checkAgainstReference(t, newSys(), tr)
+	batch := newSys()
+	want, err := batch.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := newSys()
+	got, _, err := runSession(streamed, tr)
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	if got.Cycles != want.Cycles || got.Stats != want.Stats {
+		t.Errorf("session (%d cycles, %+v), batch (%d cycles, %+v)",
+			got.Cycles, got.Stats, want.Cycles, want.Stats)
+	}
+	for i, c := range tr.Cmds {
+		for j := range want.ReadData[i] {
+			if got.ReadData[i][j] != want.ReadData[i][j] {
+				t.Fatalf("session cmd %d word %d = %#x, batch %#x", i, j, got.ReadData[i][j], want.ReadData[i][j])
+			}
+		}
+		for j := uint32(0); j < c.V.Length; j++ {
+			if a := c.Addr(j); streamed.Peek(a) != batch.Peek(a) {
+				t.Fatalf("session final image at %d = %#x, batch %#x", a, streamed.Peek(a), batch.Peek(a))
+			}
+		}
 	}
 }

@@ -18,7 +18,6 @@
 //	sweep -journal dir    # crash-safe sweep: journal results, resume on rerun
 //	sweep -isolate        # quarantine failing cells, finish the rest
 //	sweep -cell-timeout 30s -retries 2 -retry-backoff 100ms
-//	sweep -bench-snapshot 5  # write the BENCH_5.json perf-trajectory point
 //	sweep -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Exit status: 0 on success, 1 on a sweep error, 2 on a usage or
@@ -37,7 +36,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"pva"
@@ -55,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		elements     = fs.Uint("elements", 1024, "elements per application vector")
 		verify       = fs.Bool("verify", false, "replay every point against the functional reference")
 		workers      = fs.Int("workers", 0, "sweep worker goroutines (0: one per CPU, 1: serial)")
-		parChan      = fs.Bool("parallel-channels", false, "tick PVA memory channels concurrently inside each cycle (bit-identical results)")
 		addrmap      = fs.String("addrmap", "word", "address decoder: word, line, xor, tuned:<mask,mask,...>")
 		channelsFlag = fs.String("channels", "", "comma-separated channel counts (e.g. 1,2,4): run the channel-scaling experiment")
 		jsonOut      = fs.Bool("json", false, "emit measured points as JSON instead of the figures")
@@ -75,8 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cellTimeout  = fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline, above the simulated-cycle watchdog (0: none)")
 		retries      = fs.Int("retries", 0, "re-attempts per failing cell before quarantine (fresh systems each attempt)")
 		retryBackoff = fs.Duration("retry-backoff", 0, "sleep before the first retry, doubled each further attempt")
-
-		benchSnap = fs.Int("bench-snapshot", -1, "run the perf-trajectory benchmarks and write BENCH_<n>.json for this snapshot number (-1: off)")
 
 		faultSeed = fs.Uint64("fault-seed", 0, "seed driving every fault-injection decision")
 		faultRate = fs.Float64("fault-rate", 0, "base fault rate p: single-bit flip rate p, double-bit p/100, broadcast drop p/10 (PVA systems only)")
@@ -119,10 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *benchSnap >= 0 {
-		return benchSnapshot(*benchSnap, stdout, stderr)
-	}
-
 	var names []string
 	if *kernelsFlag != "" {
 		names = strings.Split(*kernelsFlag, ",")
@@ -138,14 +129,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			DoubleFlipRate: *faultRate / 100,
 			DropRate:       *faultRate / 10,
 		},
-		Watchdog:         *watchdog,
-		ParallelChannels: *parChan,
-		Tech:             *tech,
-		Subarrays:        uint32(*subarrays),
-		Partitions:       uint32(*partitions),
-		CellTimeout:      *cellTimeout,
-		Retries:          *retries,
-		RetryBackoff:     *retryBackoff,
+		Watchdog:     *watchdog,
+		Tech:         *tech,
+		Subarrays:    uint32(*subarrays),
+		Partitions:   uint32(*partitions),
+		CellTimeout:  *cellTimeout,
+		Retries:      *retries,
+		RetryBackoff: *retryBackoff,
 	}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
@@ -246,201 +236,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pva.Figures(stdout, points)
 	fmt.Fprintf(stdout, "%d points in %v%s\n", len(points), time.Since(start).Round(time.Millisecond),
 		map[bool]string{true: " (verified against reference)", false: ""}[*verify])
-	return 0
-}
-
-// benchSnapshot measures the perf-trajectory benchmarks in-process and
-// writes BENCH_<n>.json in the current directory. The workloads bracket
-// the simulator's cost envelope: the pooled steady-state Run on a reused
-// System, the cold event-driven / strict tick loops that rebuild a
-// System per run, the same tick loop with the channels on the worker
-// pool, and the full warm-started serial sweep. EXPERIMENTS.md
-// documents the file format.
-func benchSnapshot(n int, stdout, stderr io.Writer) int {
-	k, err := pva.KernelByName("vaxpy")
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	trace := k.Build(pva.PaperParams(19, 1))
-	strict := pva.DefaultConfig()
-	strict.DisableIdleSkip = true
-
-	cold := func(cfg pva.Config) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys, err := pva.NewSystem(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sys.Run(trace); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	// The steady-state workload mirrors the TestSteadyStateZeroAlloc
-	// trace: reads and preset-data writes only, since Compute closures
-	// allocate their result lines by design. On a warm reused System
-	// its allocs_per_op must read 0.
-	data := make([]uint32, 32)
-	for i := range data {
-		data[i] = uint32(i) * 3
-	}
-	steadyTrace := pva.Trace{Cmds: []pva.VectorCmd{
-		{Op: pva.Write, V: pva.Vector{Base: 0, Stride: 4, Length: 32}, Data: data},
-		{Op: pva.Read, V: pva.Vector{Base: 1, Stride: 19, Length: 32}},
-		{Op: pva.Read, V: pva.Vector{Base: 7, Stride: 5, Length: 32}},
-		{Op: pva.Write, V: pva.Vector{Base: 3, Stride: 8, Length: 32}, Data: data},
-		{Op: pva.Read, V: pva.Vector{Base: 0, Stride: 4, Length: 32}, DependsOn: []int{0}},
-	}}
-	steady := func(b *testing.B) {
-		b.ReportAllocs()
-		sys, err := pva.NewSystem(pva.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(steadyTrace); err != nil { // warm the pools
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Run(steadyTrace); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	// The parallel tick loop reuses one multi-channel System with the
-	// worker pool on; allocs_per_op must stay 0 on the warm path.
-	parCfg := pva.DefaultConfig()
-	parCfg.Channels = 4
-	parCfg.ParallelChannels = true
-	parallel := func(b *testing.B) {
-		b.ReportAllocs()
-		sys, err := pva.NewSystem(parCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(trace); err != nil { // warm the pools
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Run(trace); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// The indexed gather kernel on a reused System: the steady-state
-	// cost of the indexed claim/broadcast path.
-	gk, err := pva.KernelByName("gather")
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	gatherTrace := gk.Build(pva.PaperParams(4, 1))
-	gather := func(b *testing.B) {
-		b.ReportAllocs()
-		sys, err := pva.NewSystem(pva.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(gatherTrace); err != nil { // warm the pools
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Run(gatherTrace); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// The autotune searches measure the decoder-search ladder on one small
-	// fixed budget: the default two-rung search pooled and serial (the
-	// cloned-worker candidate-evaluation scaling), and the same budget
-	// with the surrogate rung disabled — every greedy step a full
-	// simulation — which is what the surrogate prune saves.
-	autotuneOpts := pva.AutotuneOptions{Seed: 1, Restarts: 2, MaskBits: 8}
-	autotuneBench := func(o pva.AutotuneOptions) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := pva.AutotuneKernel("copy", []uint32{1, 19}, 64, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	autotuneSerial := autotuneOpts
-	autotuneSerial.Workers = 1
-	autotuneFull := autotuneOpts
-	autotuneFull.DisableSurrogate = true
-
-	// The serial sweep is the paper's full 960-point cross product on one
-	// goroutine, warm-starting each cell from the copy-on-write
-	// post-construction checkpoint.
-	sweepSerial := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pva.SweepWithOptions(nil, nil, nil, pva.SweepOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	snapshot := struct {
-		Snapshot   int     `json:"snapshot"`
-		GoVersion  string  `json:"go_version"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{Snapshot: n, GoVersion: runtime.Version()}
-	for _, bm := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"SteadyStateRun", steady},
-		{"SkippingTickLoop", cold(pva.DefaultConfig())},
-		{"StrictTickLoop", cold(strict)},
-		{"ParallelTickLoop", parallel},
-		{"Gather", gather},
-		{"SweepSerial", sweepSerial},
-		{"AutotuneSearch", autotuneBench(autotuneOpts)},
-		{"AutotuneSearchSerial", autotuneBench(autotuneSerial)},
-		{"AutotuneFullSimOnly", autotuneBench(autotuneFull)},
-	} {
-		r := testing.Benchmark(bm.fn)
-		snapshot.Benchmarks = append(snapshot.Benchmarks, entry{
-			Name:        bm.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	path := fmt.Sprintf("BENCH_%d.json", n)
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snapshot); err != nil {
-		f.Close()
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return 0
 }
 

@@ -145,41 +145,44 @@ func checkAgainstReference(t *testing.T, sys System, tr Trace) {
 }
 
 // FuzzDifferentialPVA checks the PVA systems against the reference on
-// random traces, across every device back end: plain SDRAM, the SRAM
-// comparison system, 4-subarray SALP, and 4-partition PCM.
+// random traces, across every device back end — plain SDRAM, the SRAM
+// comparison system, 4-subarray SALP, and 4-partition PCM — and across
+// channel organizations: two channels under the xor decoder and four
+// under word interleaving, where commands split across channel buses
+// and share one transaction-ID pool.
 func FuzzDifferentialPVA(f *testing.F) {
 	fuzzSeeds(f)
+	salp := DefaultConfig()
+	salp.Tech = "salp"
+	salp.SubarraysPerBank = 4
+	pcm := DefaultConfig()
+	pcm.Tech = "pcm"
+	pcm.Partitions = 4
+	xor2 := DefaultConfig()
+	xor2.Channels = 2
+	xor2.AddrMap = "xor"
+	word4 := DefaultConfig()
+	word4.Channels = 4
+	word4.AddrMap = "word"
+	sram := func() (System, error) { return NewSRAMSystem(DefaultConfig()) }
+	sdramOf := func(cfg Config) func() (System, error) {
+		return func() (System, error) { return NewSystem(cfg) }
+	}
+	systems := []func() (System, error){
+		sdramOf(DefaultConfig()), sram, sdramOf(salp), sdramOf(pcm), sdramOf(xor2), sdramOf(word4),
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, ok := parseFuzzTrace(data, true)
 		if !ok {
 			t.Skip()
 		}
-		sdramSys, err := NewSystem(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
+		for _, mk := range systems {
+			sys, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstReference(t, sys, tr)
 		}
-		sramSys, err := NewSRAMSystem(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		salpCfg := DefaultConfig()
-		salpCfg.Tech = "salp"
-		salpCfg.SubarraysPerBank = 4
-		salpSys, err := NewSystem(salpCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pcmCfg := DefaultConfig()
-		pcmCfg.Tech = "pcm"
-		pcmCfg.Partitions = 4
-		pcmSys, err := NewSystem(pcmCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstReference(t, sdramSys, tr)
-		checkAgainstReference(t, sramSys, tr)
-		checkAgainstReference(t, salpSys, tr)
-		checkAgainstReference(t, pcmSys, tr)
 	})
 }
 

@@ -108,6 +108,94 @@ func TestIdleSkipEquivalence(t *testing.T) {
 	}
 }
 
+// fakeGroup batches fakeComps behind the Group interface the way the
+// pvaunit session batches one channel's bank controllers.
+type fakeGroup struct {
+	comps []*fakeComp
+	wake  []uint64
+}
+
+func newFakeGroup(periods ...uint64) *fakeGroup {
+	g := &fakeGroup{}
+	for _, p := range periods {
+		g.comps = append(g.comps, newFakeComp(p, p))
+		g.wake = append(g.wake, 0)
+	}
+	return g
+}
+
+func (g *fakeGroup) Step(cycle uint64, strict bool) (uint64, error) {
+	next := uint64(NoEvent)
+	for i, c := range g.comps {
+		if !strict && g.wake[i] > cycle {
+			if g.wake[i] < next {
+				next = g.wake[i]
+			}
+			continue
+		}
+		if lag := c.CycleNow(); lag < cycle {
+			if err := c.AdvanceIdle(cycle - lag); err != nil {
+				return 0, err
+			}
+		}
+		if err := c.Tick(); err != nil {
+			return 0, err
+		}
+		g.wake[i] = c.NextEventAt()
+		if g.wake[i] < next {
+			next = g.wake[i]
+		}
+	}
+	return next, nil
+}
+
+// TestGroupIdleSkipEquivalence is the group-granular counterpart of
+// TestIdleSkipEquivalence: registered groups skipped on one cached
+// group-wide wake produce exactly the per-member event times, driver
+// trajectory and final clock of the strict loop, with fewer ticks.
+func TestGroupIdleSkipEquivalence(t *testing.T) {
+	run := func(strict bool) ([]*fakeGroup, *fakeDriver, uint64) {
+		groups := []*fakeGroup{
+			newFakeGroup(3, 7),
+			newFakeGroup(5),
+			newFakeGroup(2, 11, 13),
+			newFakeGroup(17),
+		}
+		d := &fakeDriver{n: 20, stride: 6}
+		e := New(Config{DisableIdleSkip: strict}, d)
+		for _, g := range groups {
+			e.RegisterGroup(g)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("run(strict=%v): %v", strict, err)
+		}
+		return groups, d, e.Now()
+	}
+	gs, ds, ends := run(false)
+	gx, dx, endx := run(true)
+	var skipTicks, strictTicks uint64
+	for gi := range gs {
+		for ci := range gs[gi].comps {
+			s, x := gs[gi].comps[ci], gx[gi].comps[ci]
+			if fmt.Sprint(s.events) != fmt.Sprint(x.events) {
+				t.Errorf("group %d comp %d events diverge:\nskip   %v\nstrict %v",
+					gi, ci, s.events, x.events)
+			}
+			skipTicks += s.ticks
+			strictTicks += x.ticks
+		}
+	}
+	if ds.done != dx.done || ds.progress != dx.progress {
+		t.Errorf("driver state diverges: skip=%+v strict=%+v", ds, dx)
+	}
+	if ends != endx {
+		t.Errorf("final clock diverges: skip=%d strict=%d", ends, endx)
+	}
+	if skipTicks >= strictTicks {
+		t.Errorf("skipping engine ticked group members %d times, strict %d; expected fewer", skipTicks, strictTicks)
+	}
+}
+
 // TestWatchdog verifies that a driver reporting no progress trips the
 // watchdog with a DeadlockError carrying the driver's dump, at the
 // cycle the strict loop would trip it.

@@ -1,15 +1,19 @@
-package indirect
+// Package indirect_test checks the two-phase vector-indirect
+// scatter/gather engine (pva.IndirectEngine) through its public API:
+// data of address-list and two-phase operations, the broadcast and
+// bank-parallel timing, and argument errors.
+package indirect_test
 
 import (
 	"math/rand"
 	"testing"
 
-	"pva/internal/core"
+	"pva"
 	"pva/internal/memsys"
 )
 
 func TestGatherAddrsData(t *testing.T) {
-	e := MustNew(PaperConfig())
+	e := pva.NewIndirectEngine()
 	addrs := []uint32{5, 1000, 17, 17 + 16, 3, 3} // duplicates and same-bank pairs
 	res, err := e.GatherAddrs(addrs)
 	if err != nil {
@@ -26,7 +30,7 @@ func TestGatherAddrsData(t *testing.T) {
 }
 
 func TestScatterThenGather(t *testing.T) {
-	e := MustNew(PaperConfig())
+	e := pva.NewIndirectEngine()
 	addrs := []uint32{10, 26, 42, 1 << 20}
 	data := []uint32{100, 200, 300, 400}
 	if _, err := e.ScatterAddrs(addrs, data); err != nil {
@@ -44,7 +48,7 @@ func TestScatterThenGather(t *testing.T) {
 }
 
 func TestTwoPhaseGather(t *testing.T) {
-	e := MustNew(PaperConfig())
+	e := pva.NewIndirectEngine()
 	// Build an indirection vector at 1<<16: offsets into a table.
 	ivBase := uint32(1 << 16)
 	offsets := []uint32{7, 129, 3, 514, 31, 8, 77, 2048}
@@ -56,7 +60,7 @@ func TestTwoPhaseGather(t *testing.T) {
 	for _, off := range offsets {
 		e.Store().Write(table+off, off*11)
 	}
-	iv := core.Vector{Base: ivBase, Stride: 1, Length: uint32(len(offsets))}
+	iv := pva.Vector{Base: ivBase, Stride: 1, Length: uint32(len(offsets))}
 	res, err := e.Gather(table, iv)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +73,7 @@ func TestTwoPhaseGather(t *testing.T) {
 }
 
 func TestTwoPhaseScatter(t *testing.T) {
-	e := MustNew(PaperConfig())
+	e := pva.NewIndirectEngine()
 	ivBase := uint32(4096)
 	offsets := []uint32{1, 65, 3, 130}
 	for i, off := range offsets {
@@ -77,7 +81,7 @@ func TestTwoPhaseScatter(t *testing.T) {
 	}
 	table := uint32(1 << 18)
 	data := []uint32{11, 22, 33, 44}
-	iv := core.Vector{Base: ivBase, Stride: 1, Length: 4}
+	iv := pva.Vector{Base: ivBase, Stride: 1, Length: 4}
 	if _, err := e.Scatter(table, iv, data); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func TestTwoPhaseScatter(t *testing.T) {
 }
 
 func TestParallelismBeatsSingleBank(t *testing.T) {
-	e := MustNew(PaperConfig())
+	e := pva.NewIndirectEngine()
 	// 32 addresses spread across all 16 banks vs 32 in a single bank.
 	spread := make([]uint32, 32)
 	for i := range spread {
@@ -113,7 +117,7 @@ func TestParallelismBeatsSingleBank(t *testing.T) {
 }
 
 func TestRandomGatherQuickish(t *testing.T) {
-	e := MustNew(PaperConfig())
+	e := pva.NewIndirectEngine()
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(64)
@@ -134,14 +138,11 @@ func TestRandomGatherQuickish(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	e := MustNew(PaperConfig())
+	e := pva.NewIndirectEngine()
 	if _, err := e.GatherAddrs(nil); err == nil {
 		t.Error("empty gather accepted")
 	}
 	if _, err := e.ScatterAddrs([]uint32{1, 2}, []uint32{1}); err == nil {
 		t.Error("mismatched scatter accepted")
-	}
-	if _, err := New(Config{Banks: 3}); err == nil {
-		t.Error("bank count 3 accepted")
 	}
 }

@@ -1,32 +1,22 @@
 // Store: a lazily materialized word store shared by every memory model,
-// with a two-layer copy-on-write design serving two masters at once:
+// with a two-layer copy-on-write design for checkpointing. Snapshot
+// freezes the current contents into an immutable Image that new stores
+// (NewStoreFrom) and rewinds (Restore) share by reference. Pages are
+// copied only when a store first writes into a frozen page, so cloning a
+// multi-megabyte image costs one map header and warm-starting a sweep
+// cell is a pointer swap.
 //
-//   - Checkpointing: Snapshot freezes the current contents into an
-//     immutable Image that new stores (NewStoreFrom) and rewinds
-//     (Restore) share by reference. Pages are copied only when a store
-//     first writes into a frozen page, so cloning a multi-megabyte
-//     image costs one map header and warm-starting a sweep cell is a
-//     pointer swap.
-//   - Concurrent readers: the live page map is published through an
-//     atomic pointer and page insertion rebuilds the map under a
-//     mutex, so goroutines ticking different memory channels may Read
-//     and Write concurrently. Distinct addresses land in distinct
-//     slice elements (channel interleaving guarantees disjointness),
-//     so element stores need no synchronization; only the page-table
-//     shape does.
-//
-// The hot paths stay hot: a Read is one atomic load plus a map lookup,
-// and a Write to an already-materialized live page is the same plus one
-// element store. Page insertion — rare at 16 KiB granularity, and absent
-// entirely in steady state — pays the full map copy.
+// A Store has one owner goroutine: a system's session steps its
+// channels serially, sweep workers own private stores, and concurrent
+// users (autotune candidates, clones) share only immutable Images. A
+// Read is a map lookup per layer; a Write to an already-materialized
+// live page is one lookup and one element store.
 
 package memsys
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pva/internal/core"
 )
@@ -34,8 +24,7 @@ import (
 // PageWords is the allocation granularity of Store.
 const PageWords = 4096
 
-// pageMap is one immutable generation of the live page table. Lookups
-// need no lock; mutating the set of pages publishes a fresh generation.
+// pageMap is a page table: page number to PageWords words.
 type pageMap = map[uint32][]uint32
 
 // Image is an immutable snapshot of a Store's contents. Images share
@@ -87,22 +76,18 @@ type Store struct {
 	// through them, with sibling stores). nil when no snapshot backs
 	// this store. Read-only by contract.
 	frozen pageMap
-	// live holds the pages written since the last Snapshot/Restore,
-	// published atomically for lock-free concurrent lookups.
-	live atomic.Pointer[pageMap]
-	// mu serializes page insertion (the only structural mutation).
-	mu sync.Mutex
+	// live holds the pages written since the last Snapshot/Restore.
+	// They are exclusively this store's.
+	live pageMap
 	// free recycles pages discarded by Restore so a warm-started sweep
-	// stops allocating once its first run has sized the pool. Guarded
-	// by mu; pages here are unreachable from any published map.
+	// stops allocating once its first run has sized the pool. Pages here
+	// are unreachable from either layer.
 	free [][]uint32
 }
 
 // NewStore returns an empty (all-Fill) store.
 func NewStore() *Store {
-	s := &Store{}
-	s.publish(pageMap{})
-	return s
+	return &Store{live: pageMap{}}
 }
 
 // NewStoreFrom returns a store whose initial contents are the image
@@ -116,12 +101,10 @@ func NewStoreFrom(img *Image) *Store {
 	return s
 }
 
-func (s *Store) publish(m pageMap) { s.live.Store(&m) }
-
 // Read returns the word at address a.
 func (s *Store) Read(a uint32) uint32 {
 	pn := a / PageWords
-	if p, ok := (*s.live.Load())[pn]; ok {
+	if p, ok := s.live[pn]; ok {
 		return p[a%PageWords]
 	}
 	if p, ok := s.frozen[pn]; ok {
@@ -133,24 +116,16 @@ func (s *Store) Read(a uint32) uint32 {
 // Write stores v at address a.
 func (s *Store) Write(a, v uint32) {
 	pn := a / PageWords
-	if p, ok := (*s.live.Load())[pn]; ok {
+	if p, ok := s.live[pn]; ok {
 		p[a%PageWords] = v
 		return
 	}
 	s.materialize(pn)[a%PageWords] = v
 }
 
-// materialize inserts page pn into the live layer — copying the frozen
-// page when the checkpoint holds one, else the Fill pattern — and
-// publishes a fresh page-table generation so concurrent readers never
-// observe a map mid-insertion.
+// materialize inserts page pn into the live layer, copying the frozen
+// page when the checkpoint holds one, else the Fill pattern.
 func (s *Store) materialize(pn uint32) []uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.live.Load()
-	if p, ok := old[pn]; ok {
-		return p // another writer won the race
-	}
 	var p []uint32
 	if n := len(s.free); n > 0 {
 		p = s.free[n-1]
@@ -167,36 +142,27 @@ func (s *Store) materialize(pn uint32) []uint32 {
 			p[i] = Fill(base + uint32(i))
 		}
 	}
-	next := make(pageMap, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[pn] = p
-	s.publish(next)
+	s.live[pn] = p
 	return p
 }
 
 // Snapshot freezes the store's current contents into an immutable Image.
 // The store keeps running — its next write into any frozen page copies
 // the page first — so the image is a true point-in-time checkpoint at
-// copy-on-write cost. Must not race with Reads or Writes (take
-// snapshots between runs, not mid-cycle).
+// copy-on-write cost. Take snapshots between runs, not mid-cycle.
 func (s *Store) Snapshot() *Image {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := *s.live.Load()
-	if len(live) == 0 && s.frozen != nil {
+	if len(s.live) == 0 && s.frozen != nil {
 		return &Image{pages: s.frozen} // unchanged since the last freeze
 	}
-	merged := make(pageMap, len(s.frozen)+len(live))
+	merged := make(pageMap, len(s.frozen)+len(s.live))
 	for k, v := range s.frozen {
 		merged[k] = v
 	}
-	for k, v := range live {
+	for k, v := range s.live {
 		merged[k] = v
 	}
 	s.frozen = merged
-	s.publish(pageMap{})
+	s.live = pageMap{}
 	return &Image{pages: merged}
 }
 
@@ -204,8 +170,6 @@ func (s *Store) Snapshot() *Image {
 // discarding everything written since. The image stays immutable: the
 // store copy-on-writes before dirtying any of its pages.
 func (s *Store) Restore(img *Image) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if img != nil {
 		s.frozen = img.pages
 	} else {
@@ -213,10 +177,10 @@ func (s *Store) Restore(img *Image) {
 	}
 	// Live pages are exclusively ours (Snapshot moves shared pages into
 	// the frozen layer), so recycle them instead of feeding the GC.
-	for _, p := range *s.live.Load() {
+	for _, p := range s.live {
 		s.free = append(s.free, p)
 	}
-	s.publish(pageMap{})
+	s.live = pageMap{}
 }
 
 // Gather reads the dense line of a vector: element i of the result is the

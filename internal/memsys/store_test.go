@@ -1,9 +1,6 @@
 package memsys
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestStoreSnapshotIsolation pins the copy-on-write contract: an Image
 // captured by Snapshot never changes, no matter what the source store,
@@ -90,47 +87,5 @@ func TestStoreSnapshotAfterSnapshot(t *testing.T) {
 	}
 	if got := s.Read(0); got != 30 {
 		t.Fatalf("store lost its own write: %d, want 30", got)
-	}
-}
-
-// TestStoreConcurrentAccess drives the parallel-channel access pattern
-// under the race detector: goroutines reading and writing disjoint
-// addresses (as channel-interleaved bank controllers do), racing on
-// page materialization but never on elements.
-func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStoreFrom(func() *Image {
-		seed := NewStore()
-		seed.Write(0, 42)
-		return seed.Snapshot()
-	}())
-	const workers = 8
-	const span = 4 * PageWords
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w uint32) {
-			defer wg.Done()
-			for a := w; a < span; a += workers {
-				s.Write(a, a^w)
-				if got := s.Read(a); got != a^w {
-					t.Errorf("worker %d read back %d at %d, want %d", w, got, a, a^w)
-					return
-				}
-				// Read untouched and frozen addresses too: lookups must be
-				// safe against concurrent page inserts. (Elements being
-				// written by another goroutine are out of contract: the
-				// simulator's channel interleaving keeps them disjoint.)
-				if got := s.Read(span + a); got != Fill(span+a) {
-					t.Errorf("cold read at %d = %d, want Fill", span+a, got)
-					return
-				}
-			}
-		}(uint32(w))
-	}
-	wg.Wait()
-	for a := uint32(0); a < span; a++ {
-		if got, want := s.Read(a), a^(a%workers); got != want {
-			t.Fatalf("final image at %d = %d, want %d", a, got, want)
-		}
 	}
 }

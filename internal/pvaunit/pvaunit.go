@@ -88,18 +88,6 @@ type Config struct {
 	// cycles in which no component changes state).
 	DisableIdleSkip bool
 
-	// Parallel steps the per-channel bank-controller groups concurrently
-	// on the engine's shared worker pool, with a deterministic barrier
-	// per cycle. Cycle counts, data, statistics, and per-ticket
-	// timestamps are bit-identical to the serial loop: channels share no
-	// mutable state during their ticks (the store's page table is
-	// concurrency-safe; buses, boards, and devices are channel-private;
-	// the fault injector is stateless), and the engine merges per-group
-	// outcomes in fixed channel order. It is ignored — the serial loop
-	// runs — when there is only one channel or when a shared stateful
-	// row policy (the hot-row predictor) would train in tick order.
-	Parallel bool
-
 	// Fault describes the run's fault injection (fault.Plan zero value:
 	// no faults, zero cost, bit-identical to a faultless build).
 	Fault fault.Plan
@@ -237,7 +225,7 @@ func (s *System) Store() *memsys.Store { return s.store }
 
 // DeviceStats returns every bank controller's device counters in flat
 // channel*Banks+bank order, for the current session's hardware — nil
-// before the first Open/Run. The indirect wrapper uses it to report
+// before the first Open/Run. pva.IndirectEngine uses it to report
 // per-bank activity.
 func (s *System) DeviceStats() []sdram.Stats {
 	if s.ses == nil {
@@ -268,8 +256,7 @@ type Snapshot struct {
 // session is pumping. Config-referenced helpers (decoder, scheduling
 // policy) are shared by reference — they are stateless by contract —
 // and a stateful row policy stays shared too, so clones of a hot-row
-// system must not run concurrently (the same restriction that already
-// gates parallel channel stepping).
+// system must not run concurrently.
 func (s *System) Snapshot() memsys.Checkpoint { return s.snapshot() }
 
 func (s *System) snapshot() *Snapshot {
@@ -417,23 +404,13 @@ type frontEnd struct {
 
 	// groups batches each channel's live bank controllers behind one
 	// engine.Group registration per channel (registration order is
-	// channel order, so the serial engine ticks them exactly as the
-	// historical single all-channel group did, and the parallel engine
-	// steps whole channels concurrently); gidx maps [channel][bank] to
+	// channel order, so the engine ticks them exactly as the historical
+	// single all-channel group did); gidx maps [channel][bank] to
 	// the member index within its channel's group (-1 for hard-faulted
 	// banks). The front end uses it to force a lazily-skipped
 	// controller's tick in the broadcast cycle.
 	groups []*bcGroup
 	gidx   [][]int
-
-	// obsBuf, when parallel stepping runs with tracing on, holds each
-	// channel's private bank-controller event buffer: controllers emit
-	// into their channel's buffer during the (concurrent) group step,
-	// and the front end drains the buffers to the real sink in channel
-	// order — reproducing the exact serial event stream. nil when
-	// tracing is off or stepping is serial (events then flow through
-	// unbuffered).
-	obsBuf []*chanObserver
 
 	lines      [][]uint32 // per command: gathered line (reads) or computed line (writes)
 	remaining  int        // accepted commands not yet retired
@@ -582,9 +559,6 @@ func (fe *frontEnd) reset() {
 	fe.issuedHi = 0
 	for _, g := range fe.groups {
 		g.reset()
-	}
-	for _, o := range fe.obsBuf {
-		o.events = o.events[:0]
 	}
 	for ch := range fe.fbBusy {
 		fe.fbBusy[ch] = 0
@@ -837,11 +811,6 @@ func (fe *frontEnd) debugString() string {
 // schedule the next bus tenure on every channel (which may begin this
 // very cycle), then deliver due events and observe completion lines.
 func (fe *frontEnd) Step(now uint64) error {
-	if fe.obsBuf != nil {
-		// Drain the previous cycle's buffered bank events before this
-		// cycle's front-end events, preserving the serial event order.
-		fe.flushObs()
-	}
 	for ch := range fe.buses {
 		if err := fe.scheduleChannel(ch, now); err != nil {
 			return err
@@ -1061,6 +1030,15 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		}
 		c := &fe.cmds[i]
 		if !st.issued {
+			if fe.issuedLive >= bus.MaxTransactions {
+				// All eight transactions are outstanding, so nothing
+				// unissued can issue. Keep scanning all the same: a
+				// younger command that issued through another channel
+				// holds an ID and may still need its tenure here, and
+				// stopping at this older one would make each wait on
+				// the other.
+				continue
+			}
 			ok, err := fe.eligible(i)
 			if err != nil {
 				return err
@@ -1073,7 +1051,7 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 			// its channel's share independently.
 			txn, free := fe.boards[0].Alloc()
 			if !free {
-				break // all eight transactions outstanding
+				fault.Invariantf("pvaunit", "transaction pool empty with %d commands live", fe.issuedLive)
 			}
 			for _, board := range fe.boards[1:] {
 				board.Claim(txn)
@@ -1139,8 +1117,8 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 // reserve a bus tenure for a command that has not been admitted yet: on
 // every channel whose decision point has arrived, either an admitted
 // command will claim the tenure (an unadmitted command, being youngest,
-// would never be reached) or the scheduler's scan ends at a transaction
-// Alloc failure (which blocks younger commands too). Issue pumps the
+// would never be reached) or every transaction ID is outstanding (so no
+// unissued command, admitted or not, can issue). Issue pumps the
 // engine only across sealed cycles, which is what makes a stream with
 // backpressure land every admission on exactly the cycle the batch
 // engine would first act on the command. It is conservative: reporting
@@ -1174,8 +1152,10 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 		}
 		return true
 	}
-	// Priority 2: the first candidate either reserves the tenure or
-	// fails transaction Alloc — both block anything younger.
+	// Priority 2: the first issued candidate reserves the tenure, and so
+	// does the first eligible unissued one while a transaction ID is
+	// free; with the pool empty the scan passes unissued commands by.
+	dry := fe.issuedLive >= bus.MaxTransactions
 	for i := fe.first; i < len(fe.state); i++ {
 		st := &fe.state[i]
 		if st.completed {
@@ -1192,6 +1172,9 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 			continue
 		}
 		if !st.issued {
+			if dry {
+				continue
+			}
 			ok, err := fe.eligible(i)
 			if err != nil {
 				return true // the real step will surface the error
@@ -1204,7 +1187,7 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 	}
 	// The scan fell through every admitted command: an unadmitted
 	// command would be reached, and issues unless the pool is empty.
-	return fe.issuedLive >= bus.MaxTransactions
+	return dry
 }
 
 // progress records a forward-progress heartbeat for the watchdog.
@@ -1242,21 +1225,6 @@ func (fe *frontEnd) runFallback(i int, st *cmdState, ch int) {
 func (fe *frontEnd) observe(e trace.Event) {
 	if fe.cfg.Observer != nil {
 		fe.cfg.Observer(e)
-	}
-}
-
-// flushObs drains the per-channel bank-controller event buffers to the
-// configured sink in channel order. Within a channel the buffer holds
-// events in emission (bank, then device) order, so the concatenation
-// across channels is byte-for-byte the stream the serial loop emits.
-// Called at the start of every driver step and after every session
-// pump; a no-op when buffering is off.
-func (fe *frontEnd) flushObs() {
-	for _, o := range fe.obsBuf {
-		for _, e := range o.events {
-			fe.cfg.Observer(e)
-		}
-		o.events = o.events[:0]
 	}
 }
 

@@ -23,6 +23,40 @@ func streamSystem(t *testing.T, static bool) *pvaunit.System {
 	return s
 }
 
+// runSession replays a trace through a streaming Session and returns the
+// result plus every ticket's final progress record, so the comparison
+// covers per-command issue and retire timestamps, not just totals.
+func runSession(sys *pvaunit.System, tr Trace) (memsys.Result, []pvaunit.TicketInfo, error) {
+	ses, err := sys.Open()
+	if err != nil {
+		return memsys.Result{}, nil, err
+	}
+	tickets := make([]pvaunit.Ticket, len(tr.Cmds))
+	for i, c := range tr.Cmds {
+		tk, err := ses.Issue(c)
+		if err != nil {
+			return memsys.Result{}, nil, err
+		}
+		tickets[i] = tk
+	}
+	if err := ses.Drain(); err != nil {
+		return memsys.Result{}, nil, err
+	}
+	res, err := ses.Result()
+	if err != nil {
+		return memsys.Result{}, nil, err
+	}
+	infos := make([]pvaunit.TicketInfo, len(tickets))
+	for i, tk := range tickets {
+		info, err := ses.Poll(tk)
+		if err != nil {
+			return memsys.Result{}, nil, err
+		}
+		infos[i] = info
+	}
+	return res, infos, nil
+}
+
 // TestStreamingEquivalenceGrid is the metamorphic streaming test over
 // the full golden grid: for every kernel x stride x alignment cell of
 // the paper sweep, on both PVA systems, issuing the cell's trace one

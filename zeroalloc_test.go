@@ -73,33 +73,3 @@ func TestSteadyStateZeroAllocStrict(t *testing.T) {
 		t.Fatalf("strict-loop steady-state Run allocates %.1f objects/op, want 0", allocs)
 	}
 }
-
-// TestSteadyStateZeroAllocParallel repeats the pin with four memory
-// channels ticked concurrently: the worker pool is process-global and
-// steady-state (no per-cycle goroutine spawns), the per-cycle barrier
-// reuses one WaitGroup, and the per-channel result slots live in the
-// engine — so parallel ticking must be just as allocation-free as the
-// serial loop.
-func TestSteadyStateZeroAllocParallel(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Channels = 4
-	cfg.ParallelChannels = true
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := steadyTrace()
-	for i := 0; i < 3; i++ {
-		if _, err := sys.Run(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sys.Run(tr); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("parallel steady-state Run allocates %.1f objects/op, want 0", allocs)
-	}
-}
