@@ -6,9 +6,10 @@
 // arguments.
 //
 // The search is a two-rung evaluation ladder. The bottom rung is the
-// decode-only surrogate (surrogate.go): greedy per-bit refinement with
-// seeded random restarts walks the mask space on surrogate cost alone,
-// thousands of evaluations per second. The top rung is the real
+// decode-only surrogate (surrogate.go), a table decoded once per search
+// that scores a one-bit mask toggle in one pass: greedy per-bit
+// refinement with seeded random restarts walks the mask space on
+// surrogate cost alone, thousands of evaluations per second. The top rung is the real
 // cycle-accurate simulator: only the surrogate's best few locally
 // optimal candidates (Options.Survivors) are promoted, each evaluated
 // by running the full workload warm-started from a shared
@@ -153,11 +154,9 @@ func (r *Result) BestFixed() (string, uint64) {
 type searcher struct {
 	w       Workload
 	o       Options
-	scorer  *scorer
 	baseImg *memsys.Image // shared cold checkpoint all evaluations warm-start from
 	lm      uint          // log2 banks
-	varyBit []uint32      // single-bit masks the search may toggle
-	surEval int
+	varyBit []uint        // bank-word bits the search may toggle
 	fullMu  sync.Mutex
 	full    int
 }
@@ -174,40 +173,23 @@ func Search(w Workload, o Options) (*Result, error) {
 		return nil, err
 	}
 
+	// The captured traces live only while the surrogate table is built.
 	captured := make([]kernels.AddressTrace, len(w.Traces))
 	for i, tr := range w.Traces {
 		captured[i] = kernels.CaptureAddresses(tr)
 	}
-	cfg := pvaunit.PaperConfig()
-	s := &searcher{
-		w:      w,
-		o:      o,
-		scorer: newScorer(captured, cfg.SGeom, o.Channels, o.Banks),
-		lm:     uint(bits.TrailingZeros32(o.Banks)),
-	}
+	sur := newSurrogate(captured, pvaunit.PaperConfig().SGeom, o.Channels, o.Banks)
+	s := &searcher{w: w, o: o, lm: uint(bits.TrailingZeros32(o.Banks))}
 
 	// The toggleable bits: bank-word bits that vary across the workload
 	// (a constant bit contributes a constant parity — pure relabeling,
 	// never a conflict change), optionally capped by MaskBits.
-	shift := uint(bits.TrailingZeros32(o.Channels)) + s.lm
-	var vary, bw0 uint32
-	first := true
-	for _, tr := range captured {
-		for _, cmd := range tr.Cmds {
-			for _, a := range cmd {
-				bw := a >> shift
-				if first {
-					bw0, first = bw, false
-				}
-				vary |= bw ^ bw0
-			}
-		}
-	}
+	vary := sur.varyMask()
 	if o.MaskBits > 0 && o.MaskBits < 32 {
 		vary &= 1<<o.MaskBits - 1
 	}
 	for v := vary; v != 0; v &= v - 1 {
-		s.varyBit = append(s.varyBit, v&-v)
+		s.varyBit = append(s.varyBit, uint(bits.TrailingZeros32(v)))
 	}
 
 	// Shared base checkpoint: the cold memory image every candidate's
@@ -233,25 +215,19 @@ func Search(w Workload, o Options) (*Result, error) {
 		starts = append(starts, m)
 	}
 
-	// Rung one: greedy per-bit refinement of every start.
+	// Rung one: greedy per-bit refinement of every start, scored by the
+	// surrogate or, with DisableSurrogate, by full simulation.
+	var ev evaluator = sur
+	full := &fullEval{s: s}
+	if o.DisableSurrogate {
+		ev = full
+	}
 	var locals []Candidate
 	seen := map[string]bool{}
-	var evalErr error
-	eval := func(masks []uint32) uint64 {
-		if o.DisableSurrogate {
-			c, err := s.fullCycles(addrmap.MustTuned(o.Channels, o.Banks, masks))
-			if err != nil && evalErr == nil {
-				evalErr = err
-			}
-			return c
-		}
-		s.surEval++
-		return s.scorer.cost(addrmap.MustTuned(o.Channels, o.Banks, masks))
-	}
 	for _, start := range starts {
-		masks, score := s.greedy(start, eval)
-		if evalErr != nil {
-			return nil, evalErr
+		masks, score := s.greedy(ev, start)
+		if full.err != nil {
+			return nil, full.err
 		}
 		spec := addrmap.MustTuned(o.Channels, o.Banks, masks).String()
 		if seen[spec] {
@@ -275,8 +251,7 @@ func Search(w Workload, o Options) (*Result, error) {
 		locals = locals[:o.Survivors]
 	}
 	for _, lmk := range [][]uint32{make([]uint32, s.lm), addrmap.XORFoldMasks(o.Channels, o.Banks)} {
-		d := addrmap.MustTuned(o.Channels, o.Banks, lmk)
-		spec := d.String()
+		spec := addrmap.MustTuned(o.Channels, o.Banks, lmk).String()
 		dup := false
 		for _, c := range locals {
 			if c.Spec == spec {
@@ -289,8 +264,7 @@ func Search(w Workload, o Options) (*Result, error) {
 		}
 		c := Candidate{Masks: lmk, Spec: spec}
 		if !o.DisableSurrogate {
-			s.surEval++
-			c.Surrogate = s.scorer.cost(d)
+			c.Surrogate = sur.load(lmk)
 		}
 		locals = append(locals, c)
 	}
@@ -339,33 +313,77 @@ func Search(w Workload, o Options) (*Result, error) {
 		Best:           locals[0],
 		Survivors:      locals,
 		Baselines:      baselines,
-		SurrogateEvals: s.surEval,
+		SurrogateEvals: sur.evals,
 		FullEvals:      s.full,
 	}, nil
+}
+
+// evaluator scores one current mask set and its one-bit neighbours for
+// greedy: load makes masks current and returns their cost, flipCost
+// returns the cost with bank-word bit k toggled in mask j, and accept
+// makes that toggle current.
+type evaluator interface {
+	load(masks []uint32) uint64
+	flipCost(j int, k uint) uint64
+	accept(j int, k uint)
 }
 
 // greedy hill-climbs one mask set to a local optimum: toggle every
 // (bank bit, bank-word bit) pair, keep strict improvements, repeat
 // until a full pass finds none. Bits scan in ascending order so the
 // walk is deterministic.
-func (s *searcher) greedy(start []uint32, eval func([]uint32) uint64) ([]uint32, uint64) {
+func (s *searcher) greedy(ev evaluator, start []uint32) ([]uint32, uint64) {
 	cur := make([]uint32, len(start))
 	copy(cur, start)
-	best := eval(cur)
+	best := ev.load(cur)
 	for improved := true; improved; {
 		improved = false
 		for j := range cur {
-			for _, bit := range s.varyBit {
-				cur[j] ^= bit
-				if c := eval(cur); c < best {
+			for _, k := range s.varyBit {
+				if c := ev.flipCost(j, k); c < best {
+					ev.accept(j, k)
+					cur[j] ^= 1 << k
 					best, improved = c, true
-				} else {
-					cur[j] ^= bit
 				}
 			}
 		}
 	}
 	return cur, best
+}
+
+// fullEval is the evaluator that scores every candidate by full
+// cycle-accurate simulation. The first error sticks: later evaluations
+// score worst without simulating, and Search reports it.
+type fullEval struct {
+	s     *searcher
+	masks []uint32
+	err   error
+}
+
+func (f *fullEval) load(masks []uint32) uint64 {
+	f.masks = append(f.masks[:0], masks...)
+	return f.cycles()
+}
+
+func (f *fullEval) flipCost(j int, k uint) uint64 {
+	f.masks[j] ^= 1 << k
+	c := f.cycles()
+	f.masks[j] ^= 1 << k
+	return c
+}
+
+func (f *fullEval) accept(j int, k uint) { f.masks[j] ^= 1 << k }
+
+func (f *fullEval) cycles() uint64 {
+	if f.err != nil {
+		return ^uint64(0)
+	}
+	c, err := f.s.fullCycles(addrmap.MustTuned(f.s.o.Channels, f.s.o.Banks, f.masks))
+	if err != nil {
+		f.err = err
+		return ^uint64(0)
+	}
+	return c
 }
 
 // newSystem builds the cycle-accurate PVA SDRAM system under a decoder.

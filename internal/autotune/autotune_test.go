@@ -108,6 +108,21 @@ func TestAutotuneLadderCounts(t *testing.T) {
 			t.Fatalf("survivors not sorted by cycles: %+v", res.Survivors)
 		}
 	}
+	// Pinned values: any change to the surrogate's evaluation (not just
+	// its cost model) must leave the search's walk and output unchanged.
+	if res.SurrogateEvals != 366 || res.FullEvals != 9 {
+		t.Errorf("evals = %d surrogate, %d full; want 366, 9", res.SurrogateEvals, res.FullEvals)
+	}
+	if res.Best.Spec != "tuned:0x1111111,0x2222222,0x4444444,0x8888888" || res.Best.Cycles != 376 {
+		t.Errorf("best = %s at %d cycles", res.Best.Spec, res.Best.Cycles)
+	}
+	var sur []uint64
+	for _, c := range res.Survivors {
+		sur = append(sur, c.Surrogate)
+	}
+	if want := []uint64{624, 372, 348, 339, 504, 351}; !reflect.DeepEqual(sur, want) {
+		t.Errorf("survivor surrogates = %v, want %v", sur, want)
+	}
 }
 
 func TestAutotuneDisableSurrogate(t *testing.T) {
@@ -124,6 +139,10 @@ func TestAutotuneDisableSurrogate(t *testing.T) {
 	}
 	if _, best := res.BestFixed(); res.Best.Cycles > best {
 		t.Fatalf("full-sim search lost to fixed baseline: %d vs %d", res.Best.Cycles, best)
+	}
+	if res.FullEvals != 83 || res.Best.Spec != "tuned:0x1,0x2,0x0,0x0" || res.Best.Cycles != 254 {
+		t.Errorf("full-sim search: %d full evals, best %s at %d cycles; want 83, tuned:0x1,0x2,0x0,0x0 at 254",
+			res.FullEvals, res.Best.Spec, res.Best.Cycles)
 	}
 }
 

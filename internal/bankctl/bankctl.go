@@ -229,9 +229,10 @@ func (bc *BC) Busy() bool {
 // VEC_READ or VEC_WRITE is broadcast. It decides whether this bank owns
 // any elements, resolves the first-hit address for power-of-two strides,
 // and queues the request. Banks owning nothing deassert the transaction
-// line immediately.
-func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, txn int) {
-	bc.observeCmd(op, v, nil, txn)
+// line immediately. It reports whether the bank queued a request — only
+// then does the controller have new work to tick for.
+func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, txn int) bool {
+	return bc.observeCmd(op, v, nil, txn)
 }
 
 // ObserveIndexed is ObserveCommand for an indexed (vector-indirect)
@@ -239,11 +240,11 @@ func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, txn int) {
 // elements by decoding each broadcast index — the paper's "simple
 // bit-mask operation" (Section 7) — as the index words stream past.
 // Claims resolve within the broadcast burst, like the FHP fast path.
-func (bc *BC) ObserveIndexed(op memsys.Op, v core.Vector, idx []uint32, txn int) {
-	bc.observeCmd(op, v, idx, txn)
+func (bc *BC) ObserveIndexed(op memsys.Op, v core.Vector, idx []uint32, txn int) bool {
+	return bc.observeCmd(op, v, idx, txn)
 }
 
-func (bc *BC) observeCmd(op memsys.Op, v core.Vector, idx []uint32, txn int) {
+func (bc *BC) observeCmd(op memsys.Op, v core.Vector, idx []uint32, txn int) bool {
 	var idxs []uint32
 	var hit core.Hit
 	switch {
@@ -260,7 +261,7 @@ func (bc *BC) observeCmd(op memsys.Op, v core.Vector, idx []uint32, txn int) {
 			bc.su.dropWrite(txn)
 		}
 		bc.board.Done(bc.boardBank, txn)
-		return
+		return false
 	}
 	bc.stats.Requests++
 	if bc.rqfLen() >= bc.cfg.RFEntries {
@@ -290,6 +291,7 @@ func (bc *BC) observeCmd(op memsys.Op, v core.Vector, idx []uint32, txn int) {
 		bc.su.openRead(txn, hit.Count)
 	}
 	bc.rqf = append(bc.rqf, r)
+	return true
 }
 
 // StageWriteData is the write Staging Unit's buffer fill: the front end

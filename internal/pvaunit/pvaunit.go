@@ -867,18 +867,23 @@ func (fe *frontEnd) Step(now uint64) error {
 					}
 					// Catch a lazily-skipped controller up to the present
 					// before it timestamps the request, and force its Tick
-					// this cycle so the new work is scheduled on time.
+					// this cycle so the new work is scheduled on time. A
+					// bank that claims no element only deasserts its line,
+					// which needs no Tick.
 					if lag := bc.CycleNow(); lag < now {
 						if err := bc.AdvanceIdle(now - lag); err != nil {
 							return err
 						}
 					}
+					var queued bool
 					if c.Indexed() {
-						bc.ObserveIndexed(c.Op, c.V, c.Idx, st.txn)
+						queued = bc.ObserveIndexed(c.Op, c.V, c.Idx, st.txn)
 					} else {
-						bc.ObserveCommand(c.Op, c.V, st.txn)
+						queued = bc.ObserveCommand(c.Op, c.V, st.txn)
 					}
-					fe.groups[ch].Wake(fe.gidx[ch][b], now)
+					if queued {
+						fe.groups[ch].Wake(fe.gidx[ch][b], now)
+					}
 				}
 				cs.broadcastDone = true
 				if c.Indexed() {

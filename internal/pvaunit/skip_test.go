@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pva/internal/addrmap"
 	"pva/internal/kernels"
 	"pva/internal/memsys"
 )
@@ -11,23 +12,40 @@ import (
 // TestIdleSkipBitIdentical proves the event-driven cycle skipping elides
 // only no-op cycles: for every kernel, paper stride and alignment, the
 // skipping and strict tick-every-cycle engines must agree on the cycle
-// count, every statistic, and every gathered word — on both the SDRAM
-// prototype and the idealized SRAM variant.
+// count, every statistic, and every gathered word — on the SDRAM
+// prototype, the idealized SRAM variant, a tuned-decoder system (whose
+// controllers enumerate their elements through a BankView) and a
+// 2-channel xor system. The strict engine ticks every controller every
+// cycle, so it also proves that waking only the banks a broadcast hands
+// work to loses nothing.
 func TestIdleSkipBitIdentical(t *testing.T) {
 	strides := []uint32{1, 2, 4, 8, 16, 19}
 	if testing.Short() {
 		strides = []uint32{1, 16, 19}
 	}
-	for _, static := range []bool{false, true} {
+	tuned := PaperConfig()
+	tuned.Decoder = addrmap.MustTuned(1, 16, []uint32{0x9, 0x12, 0x24, 0x48})
+	xor2 := PaperConfig()
+	xor2.Channels = 2
+	xor2.Decoder = addrmap.MustXORBank(2, 16)
+	for _, sys := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sdram", PaperConfig()},
+		{"sram", SRAMConfig()},
+		{"tuned", tuned},
+		{"xor-2ch", xor2},
+	} {
 		for _, k := range kernels.All() {
 			for _, s := range strides {
 				for a := 0; a < kernels.Alignments; a++ {
 					p := kernels.PaperParams(s, a)
 					p.Elements = 256
 					trace := k.Build(p)
-					name := fmt.Sprintf("static=%v/%s/stride%d/align%d", static, k.Name, s, a)
-					fast := runEngine(t, static, false, trace, name)
-					slow := runEngine(t, static, true, trace, name)
+					name := fmt.Sprintf("%s/%s/stride%d/align%d", sys.name, k.Name, s, a)
+					fast := runEngine(t, sys.cfg, false, trace, name)
+					slow := runEngine(t, sys.cfg, true, trace, name)
 					if fast.Cycles != slow.Cycles {
 						t.Fatalf("%s: skip %d cycles, strict %d", name, fast.Cycles, slow.Cycles)
 					}
@@ -79,12 +97,8 @@ func TestIdleSkipBitIdenticalRefresh(t *testing.T) {
 	}
 }
 
-func runEngine(t *testing.T, static, disableSkip bool, trace memsys.Trace, name string) memsys.Result {
+func runEngine(t *testing.T, cfg Config, disableSkip bool, trace memsys.Trace, name string) memsys.Result {
 	t.Helper()
-	cfg := PaperConfig()
-	if static {
-		cfg = SRAMConfig()
-	}
 	cfg.DisableIdleSkip = disableSkip
 	res, err := MustNew(cfg).Run(trace)
 	if err != nil {
